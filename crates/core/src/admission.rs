@@ -101,8 +101,8 @@ fn window_shortfall(
         };
     }
     // Usable free GPU-slots in the window, walking constant-commitment
-    // runs (O(runs), not O(slots)); everything past the committed
-    // horizon is fully free, still clamped to g_max.
+    // runs (one term per run, not per slot); everything past the
+    // committed horizon is fully free, still clamped to g_max.
     let cap = f64::from(g_max);
     let scan_end = window_end.min(ledger.horizon());
     let mut free_gpu_slots = 0.0_f64;
@@ -320,18 +320,12 @@ impl AdmissionController {
         if horizon_slots == 0 {
             return 0.0;
         }
-        // Per-slot commitments are small integers, so summing them in f64
-        // is exact — when nothing exceeds the cluster size the clamp is
-        // the identity and the cached integer prefix sum gives the same
-        // value in O(1) instead of an O(horizon) walk.
-        let total = if ledger.peak() <= self.total_gpus {
-            ledger.committed_before(horizon_slots) as f64
-        } else {
-            (0..horizon_slots)
-                .map(|t| ledger.committed(t).min(self.total_gpus) as f64)
-                .sum()
-        };
-        total / (horizon_slots as f64 * self.total_gpus as f64)
+        // One exact integer pass over the window; slots at or past the
+        // horizon commit nothing.
+        let booked: u64 = (0..horizon_slots.min(ledger.horizon()))
+            .map(|t| u64::from(ledger.committed(t).min(self.total_gpus)))
+            .sum();
+        booked as f64 / (horizon_slots as f64 * self.total_gpus as f64)
     }
 
     /// Convenience wrapper for the arrival path: checks `candidate`
@@ -979,5 +973,35 @@ mod tests {
         assert!(!ac
             .check(&[mk(0, 4.0, 1), mk(1, 9.0, 3)], &grid)
             .is_admitted());
+    }
+
+    #[test]
+    fn booked_fraction_matches_the_clamped_per_slot_sum() {
+        // The reference: every slot of the window clamped to the cluster
+        // size, summed in f64 one slot at a time.
+        let reference = |ledger: &ReservationLedger, total: u32, h: usize| {
+            let sum: f64 = (0..h)
+                .map(|t| f64::from(ledger.committed(t).min(total)))
+                .sum();
+            sum / (h as f64 * f64::from(total))
+        };
+        let ac = AdmissionController::new(8);
+        let mut within = ReservationLedger::new();
+        within.commit(&AllocationProfile::new(vec![8, 4, 0, 2, 2, 0]));
+        let mut over = within.clone();
+        over.commit(&AllocationProfile::new(vec![4, 8, 16, 0, 1]));
+        for ledger in [&within, &over] {
+            for h in [1, 3, 5, 6, 9, 1_000] {
+                assert_eq!(
+                    ac.booked_fraction(ledger, h).to_bits(),
+                    reference(ledger, 8, h).to_bits(),
+                    "{ledger:?} over {h} slots"
+                );
+            }
+        }
+        // Over-committed slots count as fully booked, never more.
+        assert_eq!(ac.booked_fraction(&over, 3), 1.0);
+        assert_eq!(ac.booked_fraction(&within, 0), 0.0);
+        assert_eq!(ac.booked_fraction(&ReservationLedger::new(), 4), 0.0);
     }
 }

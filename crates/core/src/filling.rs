@@ -279,6 +279,7 @@ fn try_target(
             return None;
         }
     }
+    // One scan back over the ledger's trailing zero slots per target.
     let committed_horizon = ledger.horizon();
     gpus.clear();
     let mut done = 0.0f64;
@@ -329,7 +330,8 @@ fn try_target(
         // The committed value — and with it the grant `x` and the per-slot
         // rate — is constant across `[t, run_end)`, and slot durations are
         // uniform past slot 0, so the whole run is processed with the
-        // grant computed once.
+        // grant computed once. `run_end` scans the run forward from `t`,
+        // the same order of work as emitting the run's slots below.
         let run_end = ledger.run_end(t).min(horizon).min(committed_horizon.max(1));
         let free = ledger.free(t, total_gpus);
         let x = clamp_pow2(j.min(free), free);

@@ -5,8 +5,6 @@
 //! running system "slot 0" is the remainder of the current scheduling
 //! interval and later slots have the full interval length.
 
-use std::cell::RefCell;
-
 use elasticflow_perfmodel::ScalingCurve;
 use elasticflow_trace::JobId;
 use serde::{Deserialize, Serialize};
@@ -192,126 +190,14 @@ impl AllocationProfile {
     }
 }
 
-/// Derived views of a ledger's committed vector, rebuilt lazily after
-/// each mutation: GPU-slot prefix sums (`prefix[t]` = GPUs committed
-/// across slots `[0, t)`), the peak commitment, and the horizon. Turns
-/// the admission loop's repeated O(slots) scans into O(1) amortized
-/// lookups.
-///
-/// Mutations mark the cache stale instead of dropping it: the next read
-/// rebuilds *in place*, reusing the prefix and run-end buffers. The
-/// admission hot path alternates commit/uncommit with reads thousands of
-/// times per decision, so rebuild-without-realloc is what keeps the
-/// ledger off the allocator entirely in steady state.
-#[derive(Debug, Default)]
-struct LedgerCache {
-    /// `true` when the views below match the committed vector. The
-    /// default (`false`) forces a first rebuild, so empty buffers are
-    /// never served.
-    fresh: bool,
-    prefix: Vec<u64>,
-    peak: u32,
-    horizon: usize,
-    /// `run_end[t]` is the exclusive end of the maximal run of slots with
-    /// `committed` equal to `committed[t]` that contains `t`. Lets slot
-    /// walks process whole constant-commitment regions at once.
-    run_end: Vec<usize>,
-}
-
-impl LedgerCache {
-    /// Recomputes every view from `committed`, reusing the buffers.
-    fn rebuild(&mut self, committed: &[u32]) {
-        self.prefix.clear();
-        self.prefix.reserve(committed.len() + 1);
-        self.prefix.push(0u64);
-        let mut sum = 0u64;
-        let mut peak = 0u32;
-        for &c in committed {
-            sum += u64::from(c);
-            peak = peak.max(c);
-            self.prefix.push(sum);
-        }
-        self.peak = peak;
-        self.horizon = committed
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        self.run_end.clear();
-        self.run_end.resize(committed.len(), 0);
-        for t in (0..committed.len()).rev() {
-            self.run_end[t] = if committed.get(t + 1) == Some(&committed[t]) {
-                self.run_end[t + 1]
-            } else {
-                t + 1
-            };
-        }
-        self.fresh = true;
-    }
-}
-
 /// Committed GPUs per slot across all already-planned jobs: the
 /// `sum_{k < i} x_k(t)` term of Algorithm 1, line 15.
 ///
-/// Equality, cloning, and serialization are all defined over the
-/// committed vector alone; the interior-mutability cache is a pure
-/// acceleration structure that readers rebuild on demand.
-#[derive(Default)]
+/// Views are read from the committed vector on demand, so a mutation
+/// costs only the slots it touches.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReservationLedger {
     committed: Vec<u32>,
-    cache: RefCell<LedgerCache>,
-}
-
-impl std::fmt::Debug for ReservationLedger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReservationLedger")
-            .field("committed", &self.committed)
-            .finish()
-    }
-}
-
-impl Clone for ReservationLedger {
-    fn clone(&self) -> Self {
-        ReservationLedger {
-            committed: self.committed.clone(),
-            cache: RefCell::default(),
-        }
-    }
-}
-
-impl PartialEq for ReservationLedger {
-    fn eq(&self, other: &Self) -> bool {
-        self.committed == other.committed
-    }
-}
-
-impl Eq for ReservationLedger {}
-
-/// Serialization mirror of [`ReservationLedger`], keeping the on-disk
-/// shape identical to the former derived form (`{"committed": [...]}`)
-/// so existing snapshots stay readable.
-#[derive(Serialize, Deserialize)]
-struct LedgerRepr {
-    committed: Vec<u32>,
-}
-
-impl Serialize for ReservationLedger {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        LedgerRepr {
-            committed: self.committed.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for ReservationLedger {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let repr = LedgerRepr::deserialize(deserializer)?;
-        Ok(ReservationLedger {
-            committed: repr.committed,
-            cache: RefCell::default(),
-        })
-    }
 }
 
 impl ReservationLedger {
@@ -338,7 +224,6 @@ impl ReservationLedger {
         for (t, &g) in profile.as_slice().iter().enumerate() {
             self.committed[t] += g;
         }
-        self.cache.get_mut().fresh = false;
     }
 
     /// Removes a previously committed profile.
@@ -359,46 +244,33 @@ impl ReservationLedger {
         while self.committed.last() == Some(&0) {
             self.committed.pop();
         }
-        self.cache.get_mut().fresh = false;
-    }
-
-    /// Runs `f` against the cached derived views, rebuilding them first
-    /// if a mutation invalidated the cache. O(slots) on the first read
-    /// after a mutation (reusing the cache's buffers), O(1) afterwards.
-    fn with_cache<R>(&self, f: impl FnOnce(&LedgerCache) -> R) -> R {
-        let mut guard = self.cache.borrow_mut();
-        if !guard.fresh {
-            guard.rebuild(&self.committed);
-        }
-        f(&guard)
-    }
-
-    /// Total GPU-slots committed across slots `[0, t)` — an O(1)
-    /// amortized prefix-sum lookup (slots past the ledger's end
-    /// contribute zero).
-    pub fn committed_before(&self, t: usize) -> u64 {
-        self.with_cache(|c| c.prefix[t.min(c.prefix.len() - 1)])
-    }
-
-    /// The highest committed value across all slots.
-    pub fn peak(&self) -> u32 {
-        self.with_cache(|c| c.peak)
     }
 
     /// First slot index from which nothing is committed (every slot at or
     /// beyond it is fully free). Lets planners switch to an analytic fast
-    /// path instead of walking empty slots one by one.
+    /// path instead of walking empty slots one by one. Scans back from the
+    /// end, so it costs O(1) plus the number of trailing zero slots.
     pub fn horizon(&self) -> usize {
-        self.with_cache(|c| c.horizon)
+        self.committed
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| i + 1)
     }
 
     /// Exclusive end of the maximal run of slots whose committed value
     /// equals `committed(t)`, starting at or before `t`. Past the ledger's
     /// end every slot is committed 0 forever, so the run is unbounded
-    /// (`usize::MAX`). O(1) amortized; slot walks use it to handle whole
-    /// constant-commitment regions at once.
+    /// (`usize::MAX`). Scans forward from `t`, so it costs O(run length);
+    /// slot walks use it to handle whole constant-commitment regions at
+    /// once.
     pub fn run_end(&self, t: usize) -> usize {
-        self.with_cache(|c| c.run_end.get(t).copied().unwrap_or(usize::MAX))
+        let Some(&c) = self.committed.get(t) else {
+            return usize::MAX;
+        };
+        self.committed[t + 1..]
+            .iter()
+            .position(|&n| n != c)
+            .map_or(self.committed.len(), |i| t + 1 + i)
     }
 }
 
@@ -455,7 +327,6 @@ mod tests {
         assert_eq!(ledger.committed(1), 6);
         assert_eq!(ledger.committed(3), 4);
         assert_eq!(ledger.free(1, 8), 2);
-        assert_eq!(ledger.peak(), 6);
         ledger.uncommit(&a);
         assert_eq!(ledger.committed(0), 1);
         assert_eq!(ledger.committed(1), 4);
@@ -469,25 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sums_track_mutations() {
+    fn horizon_tracks_mutations() {
         let mut ledger = ReservationLedger::new();
-        assert_eq!(ledger.committed_before(5), 0);
+        assert_eq!(ledger.horizon(), 0);
         let a = AllocationProfile::new(vec![2, 2, 0]);
         let b = AllocationProfile::new(vec![1, 4, 4, 4]);
         ledger.commit(&a);
-        // Prime the cache, then mutate again: the stale prefix sums must
-        // be rebuilt, not served.
-        assert_eq!(ledger.committed_before(3), 4);
+        // A committed trailing zero slot is not part of the horizon.
+        assert_eq!(ledger.horizon(), 2);
         ledger.commit(&b);
-        assert_eq!(ledger.committed_before(0), 0);
-        assert_eq!(ledger.committed_before(1), 3);
-        assert_eq!(ledger.committed_before(2), 9);
-        assert_eq!(ledger.committed_before(100), 17);
-        assert_eq!(ledger.peak(), 6);
         assert_eq!(ledger.horizon(), 4);
         ledger.uncommit(&b);
-        assert_eq!(ledger.committed_before(100), 4);
-        assert_eq!(ledger.peak(), 2);
         assert_eq!(ledger.horizon(), 2);
     }
 
@@ -504,7 +367,7 @@ mod tests {
         // Beyond the committed vector every slot is free forever.
         assert_eq!(ledger.run_end(8), usize::MAX);
         assert_eq!(ledger.run_end(1000), usize::MAX);
-        // The index tracks mutations like the other cached views.
+        // Runs follow mutations.
         ledger.commit(&AllocationProfile::new(vec![0, 0, 0, 0, 0, 2]));
         assert_eq!(ledger.committed(5), 2);
         assert_eq!(ledger.run_end(3), 5);
@@ -513,17 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn ledger_identity_ignores_cache_state() {
-        let mut warm = ReservationLedger::new();
-        warm.commit(&AllocationProfile::new(vec![1, 2]));
-        let _ = warm.committed_before(2); // populate the cache
-        let mut cold = ReservationLedger::new();
-        cold.commit(&AllocationProfile::new(vec![1, 2]));
-        assert_eq!(warm, cold);
-        assert_eq!(warm.clone(), cold);
-        let json = serde_json::to_string(&warm).unwrap();
-        assert_eq!(json, serde_json::to_string(&cold).unwrap());
+    fn ledger_serializes_as_its_committed_vector() {
+        let mut ledger = ReservationLedger::new();
+        ledger.commit(&AllocationProfile::new(vec![1, 2]));
+        let json = serde_json::to_string(&ledger).unwrap();
+        assert_eq!(json, r#"{"committed":[1,2]}"#);
         let back: ReservationLedger = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, warm);
+        assert_eq!(back, ledger);
+        assert_eq!(ledger.clone(), ledger);
     }
 }

@@ -299,9 +299,10 @@ proptest! {
         }
     }
 
-    /// The ledger's in-place cache rebuild serves exactly the views a
-    /// cold ledger (same committed profiles, fresh cache) computes, at
-    /// every point of an interleaved commit/uncommit/read sequence.
+    /// A ledger mutated by an interleaved commit/uncommit sequence serves
+    /// the same views as a ledger built fresh from the profiles still held,
+    /// at every point of the sequence: the views depend only on the
+    /// reservations, not on the history that produced them.
     #[test]
     fn ledger_cached_views_match_a_cold_rebuild(
         ops in prop::collection::vec(
@@ -324,11 +325,9 @@ proptest! {
             for profile in &held {
                 cold.commit(profile);
             }
-            prop_assert_eq!(live.peak(), cold.peak());
             prop_assert_eq!(live.horizon(), cold.horizon());
             for t in 0..12 {
                 prop_assert_eq!(live.committed(t), cold.committed(t));
-                prop_assert_eq!(live.committed_before(t), cold.committed_before(t));
                 // Inside the horizon run boundaries are representation-
                 // independent; past it the two ledgers may disagree on
                 // where the all-zero tail "ends" (trailing zero slots are
@@ -339,6 +338,61 @@ proptest! {
                 }
                 prop_assert!(live.run_end(t) > t);
                 prop_assert!(cold.run_end(t) > t);
+            }
+        }
+    }
+
+    /// `horizon()`, `run_end(t)` and `free(t)` agree with a slot-by-slot
+    /// reference over random commit/uncommit sequences, including
+    /// profiles whose trailing slots are zero.
+    #[test]
+    fn ledger_views_match_a_slot_by_slot_reference(
+        ops in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(0u32..4, 0..8), 0..3usize, 0usize..8),
+            1..24,
+        ),
+        total in 1u32..8,
+    ) {
+        let mut ledger = ReservationLedger::new();
+        let mut held: Vec<AllocationProfile> = Vec::new();
+        let mut reference: Vec<u32> = Vec::new();
+        for (is_commit, mut gpus, zeros, pick) in ops {
+            if is_commit || held.is_empty() {
+                gpus.extend(std::iter::repeat_n(0, zeros));
+                if reference.len() < gpus.len() {
+                    reference.resize(gpus.len(), 0);
+                }
+                for (r, g) in reference.iter_mut().zip(&gpus) {
+                    *r += g;
+                }
+                let profile = AllocationProfile::new(gpus);
+                ledger.commit(&profile);
+                held.push(profile);
+            } else {
+                let profile = held.remove(pick % held.len());
+                for (r, g) in reference.iter_mut().zip(profile.as_slice()) {
+                    *r -= g;
+                }
+                ledger.uncommit(&profile);
+            }
+            let slot = |t: usize| reference.get(t).copied().unwrap_or(0);
+            let horizon = (0..reference.len()).filter(|&t| slot(t) > 0).map(|t| t + 1).max();
+            prop_assert_eq!(ledger.horizon(), horizon.unwrap_or(0));
+            for t in 0..reference.len() + 4 {
+                prop_assert_eq!(ledger.committed(t), slot(t));
+                prop_assert_eq!(ledger.free(t, total), total.saturating_sub(slot(t)));
+                let run_end = ledger.run_end(t);
+                prop_assert!(run_end > t);
+                // Every slot of the run holds `committed(t)`; inside the
+                // horizon the run is maximal, and past it walkers only
+                // need progress.
+                for u in t..run_end.min(reference.len() + 4) {
+                    prop_assert_eq!(slot(u), slot(t));
+                }
+                if t < ledger.horizon() {
+                    prop_assert!(run_end < reference.len() + 4);
+                    prop_assert_ne!(slot(run_end), slot(t));
+                }
             }
         }
     }
