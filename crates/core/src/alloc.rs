@@ -59,22 +59,28 @@ pub struct ResourceAllocator {
     total_gpus: u32,
 }
 
-/// One pending boost in the priority queue.
+/// A profile's cost as Algorithm 2 compares it: its exact finish time
+/// (`None` if it never finishes the job) and its GPU-seconds.
+type Cost = (Option<f64>, f64);
+
+/// One pending boost in the priority queue. It carries its fresh
+/// profile's cost, so applying it never re-walks a profile.
 #[derive(Debug, Clone)]
 struct Boost {
     priority: f64,
     id: JobId,
     extra: u32,
     profile: AllocationProfile,
+    cost: Cost,
     version: u64,
 }
 
 /// Heap entry wrapping a [`Boost`] with its fixed selection key, ordered
-/// so `BinaryHeap::pop` yields exactly the entry the reference linear scan
-/// ([`ResourceAllocator::boost_reference`]) selects: restorations toward
-/// incumbent sizes first, then highest marginal priority, smallest job id
-/// as the final tiebreak. The queue holds at most one entry per job id at
-/// any time, so the order is total and pops are deterministic.
+/// so `BinaryHeap::pop` yields exactly the entry a linear scan for the
+/// best boost selects: restorations toward incumbent sizes first, then
+/// highest marginal priority, smallest job id as the final tiebreak. The
+/// queue holds at most one entry per job id at any time, so the order is
+/// total and pops are deterministic.
 struct RankedBoost {
     restoring: bool,
     boost: Boost,
@@ -182,9 +188,14 @@ impl ResourceAllocator {
     /// Selection runs through a lazy binary heap: entries keep the key
     /// they were pushed with, a popped entry whose version predates the
     /// ledger is recomputed and re-pushed, and a popped entry that no
-    /// longer fits the shrinking budget is discarded. Pop order equals the
-    /// reference linear scan ([`ResourceAllocator::boost_reference`])
-    /// entry for entry, so both produce identical allocations.
+    /// longer fits the shrinking budget is discarded. Pop order equals a
+    /// linear rescan for the best boost entry for entry (the differential
+    /// test in `tests/boost_equivalence.rs` holds the two against each
+    /// other), so both produce identical allocations.
+    ///
+    /// Each job's current cost is computed once; every candidate then
+    /// costs one fill plus one pass over its fresh profile, and dead
+    /// profiles go back to the fill scratch for the next candidate.
     pub fn boost(
         &self,
         jobs: &[PlanningJob],
@@ -195,16 +206,21 @@ impl ResourceAllocator {
         incumbents: &BTreeMap<JobId, u32>,
     ) -> u32 {
         let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
+        let mut costs: BTreeMap<JobId, Cost> = profiles
+            .iter()
+            .map(|(id, p)| (*id, jobs_by_id[id].profile_cost(p, grid)))
+            .collect();
         let mut free0 = budget;
         let mut version = 0u64;
         let mut scratch = FillScratch::new();
         let restoring =
             |b: &Boost| b.profile.gpus(0) <= incumbents.get(&b.id).copied().unwrap_or(0);
         let mut queue: BinaryHeap<RankedBoost> = BinaryHeap::new();
-        for (&id, profile) in profiles.iter() {
+        for (id, profile) in profiles.iter() {
             if let Some(b) = self.candidate(
-                jobs_by_id[&id],
+                jobs_by_id[id],
                 profile,
+                costs[id],
                 ledger,
                 grid,
                 free0,
@@ -221,13 +237,21 @@ impl ResourceAllocator {
             let Some(RankedBoost { boost, .. }) = queue.pop() else {
                 break;
             };
-            let job = jobs_by_id[&boost.id];
+            let id = boost.id;
+            let job = jobs_by_id[&id];
             if boost.version < version {
                 // Stale: recompute against the current ledger and re-queue.
-                let current = &profiles[&boost.id];
-                if let Some(fresh) =
-                    self.candidate(job, current, ledger, grid, free0, version, &mut scratch)
-                {
+                scratch.recycle(boost.profile);
+                if let Some(fresh) = self.candidate(
+                    job,
+                    &profiles[&id],
+                    costs[&id],
+                    ledger,
+                    grid,
+                    free0,
+                    version,
+                    &mut scratch,
+                ) {
                     queue.push(RankedBoost {
                         restoring: restoring(&fresh),
                         boost: fresh,
@@ -236,21 +260,25 @@ impl ResourceAllocator {
                 continue;
             }
             if boost.extra > free0 {
+                scratch.recycle(boost.profile);
                 continue; // cannot ever fit again: free0 only shrinks
             }
             // Apply the boost: swap profiles in the ledger.
-            let old = profiles
-                .insert(boost.id, boost.profile.clone())
+            let current = profiles
+                .get_mut(&id)
                 // elasticflow-lint: allow(EF-L001): boosts are only ever built from entries of `profiles`, so a previous profile exists; proceeding without it would leave its reservation committed forever
                 .expect("boosted job has a profile");
-            ledger.uncommit(&old);
+            ledger.uncommit(current);
             ledger.commit(&boost.profile);
+            scratch.recycle(std::mem::replace(current, boost.profile));
+            costs.insert(id, boost.cost);
             free0 -= boost.extra;
             version += 1;
             // Queue this job's next step.
             if let Some(next) = self.candidate(
                 job,
-                &profiles[&boost.id],
+                &profiles[&id],
+                boost.cost,
                 ledger,
                 grid,
                 free0,
@@ -266,105 +294,16 @@ impl ResourceAllocator {
         budget - free0
     }
 
-    /// The retained linear-scan implementation of
-    /// [`ResourceAllocator::boost`], kept as the differential-testing
-    /// oracle: every pop of the heap-driven version must match the
-    /// maximum this scan selects.
-    /// Property tests assert the two produce identical profiles, grants,
-    /// and ledgers across random job sets; production code calls `boost`.
-    pub fn boost_reference(
-        &self,
-        jobs: &[PlanningJob],
-        grid: &SlotGrid,
-        profiles: &mut BTreeMap<JobId, AllocationProfile>,
-        ledger: &mut ReservationLedger,
-        budget: u32,
-        incumbents: &BTreeMap<JobId, u32>,
-    ) -> u32 {
-        let jobs_by_id: BTreeMap<JobId, &PlanningJob> = jobs.iter().map(|j| (j.id, j)).collect();
-        let mut free0 = budget;
-        let mut version = 0u64;
-        let mut scratch = FillScratch::new();
-        let mut queue: Vec<Boost> = Vec::new();
-        for (&id, profile) in profiles.iter() {
-            if let Some(b) = self.candidate(
-                jobs_by_id[&id],
-                profile,
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(b);
-            }
-        }
-        while free0 > 0 && !queue.is_empty() {
-            // Pop the best boost: restorations toward incumbent sizes
-            // first, then highest marginal return; id as final tiebreak.
-            let restoring =
-                |b: &Boost| b.profile.gpus(0) <= incumbents.get(&b.id).copied().unwrap_or(0);
-            let Some(best_idx) = queue
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    restoring(a)
-                        .cmp(&restoring(b))
-                        .then(a.priority.total_cmp(&b.priority))
-                        .then(b.id.cmp(&a.id))
-                })
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            let boost = queue.swap_remove(best_idx);
-            let job = jobs_by_id[&boost.id];
-            if boost.version < version {
-                // Stale: recompute against the current ledger and re-queue.
-                let current = &profiles[&boost.id];
-                if let Some(fresh) =
-                    self.candidate(job, current, ledger, grid, free0, version, &mut scratch)
-                {
-                    queue.push(fresh);
-                }
-                continue;
-            }
-            if boost.extra > free0 {
-                continue; // cannot ever fit again: free0 only shrinks
-            }
-            // Apply the boost: swap profiles in the ledger.
-            let old = profiles
-                .insert(boost.id, boost.profile.clone())
-                // elasticflow-lint: allow(EF-L001): boosts are only ever built from entries of `profiles`, so a previous profile exists; proceeding without it would leave its reservation committed forever
-                .expect("boosted job has a profile");
-            ledger.uncommit(&old);
-            ledger.commit(&boost.profile);
-            free0 -= boost.extra;
-            version += 1;
-            // Queue this job's next step.
-            if let Some(next) = self.candidate(
-                job,
-                &profiles[&boost.id],
-                ledger,
-                grid,
-                free0,
-                version,
-                &mut scratch,
-            ) {
-                queue.push(next);
-            }
-        }
-        budget - free0
-    }
-
     /// Computes the next boost candidate for one job: double its slot-0
     /// allocation (or start it at 1) and progressively re-fill the future.
-    /// Returns `None` when no further boost helps or fits.
+    /// `current_cost` is the cost of `current`. Returns `None` when no
+    /// further boost helps or fits.
     #[allow(clippy::too_many_arguments)]
     fn candidate(
         &self,
         job: &PlanningJob,
         current: &AllocationProfile,
+        current_cost: Cost,
         ledger: &mut ReservationLedger,
         grid: &SlotGrid,
         free0: u32,
@@ -386,25 +325,26 @@ impl ResourceAllocator {
             progressive_filling_with(job, ledger, grid, self.total_gpus, Some(next0), scratch);
         ledger.commit(current);
         let fresh = fresh?;
+        let cost = job.profile_cost(&fresh, grid);
+        let (fresh_finish, fresh_gpu_seconds) = cost;
+        let (current_finish, current_gpu_seconds) = current_cost;
         // Paper line 10/23: enqueue only if the boost finishes the job
         // strictly earlier (fractional finish times within slots).
-        let finishes_earlier = match (
-            job.finish_seconds(&fresh, grid),
-            job.finish_seconds(current, grid),
-        ) {
+        let finishes_earlier = match (fresh_finish, current_finish) {
             (Some(a), Some(b)) => a + WORK_EPSILON < b,
             (Some(_), None) => true,
             (None, _) => false,
         };
-        let saved = current.gpu_seconds(grid) - fresh.gpu_seconds(grid);
         if !finishes_earlier {
+            scratch.recycle(fresh);
             return None;
         }
         Some(Boost {
-            priority: saved / extra as f64,
+            priority: (current_gpu_seconds - fresh_gpu_seconds) / extra as f64,
             id: job.id,
             extra,
             profile: fresh,
+            cost,
             version,
         })
     }

@@ -212,12 +212,17 @@ fn ladder_fill(
 /// the same job filling a fuller one (where `free` clamps its grants), so
 /// removing a neighbor could flip an admitted set to rejected. Frugality
 /// here costs nothing — the job still finishes in the same slot.
+///
+/// `done_before` is the work of every slot before the final one, as the
+/// slot walk accumulated it: the same per-slot terms in the same order as
+/// re-summing the prefix, so the walk hands it over instead.
 fn trim_final_slot(
     job: &PlanningJob,
     grid: &SlotGrid,
     memo: &CurveMemo,
     gpus: &mut [u32],
     fixed_slot0: Option<u32>,
+    done_before: f64,
 ) {
     let Some(last) = gpus.iter().rposition(|&g| g > 0) else {
         return;
@@ -225,11 +230,18 @@ fn trim_final_slot(
     if last == 0 && fixed_slot0.is_some() {
         return; // slot 0 is pinned by Algorithm 2's hypothetical boost
     }
-    let done_before: f64 = gpus[..last]
-        .iter()
-        .enumerate()
-        .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
-        .sum();
+    // Folded from +0.0 like the walk's sum: `Sum` starts from -0.0 on
+    // current toolchains, which would differ in sign on an empty prefix.
+    debug_assert_eq!(
+        done_before.to_bits(),
+        gpus[..last]
+            .iter()
+            .enumerate()
+            .map(|(t, &g)| memo.iters_per_sec(g) * grid.duration(t))
+            .fold(0.0f64, |done, work| done + work)
+            .to_bits(),
+        "walk-supplied prefix work differs from the re-summed prefix"
+    );
     let needed = job.remaining_iterations - done_before;
     let mut g = 1u32;
     while g < gpus[last] {
@@ -305,7 +317,13 @@ fn try_target(
                 return None;
             }
             gpus.extend(std::iter::repeat_n(x, need));
-            trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+            // Every emitted slot has the regular duration (t >= 1), so the
+            // prefix work is `done` plus `need - 1` sequential slot terms.
+            let mut done_before = done;
+            for _ in 1..need {
+                done_before += per_slot;
+            }
+            trim_final_slot(job, grid, memo, gpus, fixed_slot0, done_before);
             return Some(emit_profile(gpus, pool));
         }
         if t == 0 {
@@ -321,7 +339,7 @@ fn try_target(
             gpus.push(x);
             done += memo.iters_per_sec(x) * grid.duration(0);
             if done + WORK_EPSILON >= job.remaining_iterations {
-                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                trim_final_slot(job, grid, memo, gpus, fixed_slot0, 0.0);
                 return Some(emit_profile(gpus, pool));
             }
             t = 1;
@@ -352,10 +370,11 @@ fn try_target(
         // but with `x` and `per` hoisted out of the loop.
         loop {
             gpus.push(x);
+            let done_before = done;
             done += per;
             t += 1;
             if done + WORK_EPSILON >= job.remaining_iterations {
-                trim_final_slot(job, grid, memo, gpus, fixed_slot0);
+                trim_final_slot(job, grid, memo, gpus, fixed_slot0, done_before);
                 return Some(emit_profile(gpus, pool));
             }
             if t >= run_end {

@@ -24,6 +24,11 @@ use serde::{Deserialize, Serialize};
 /// are feasible (enforced by lint rule EF-L005).
 pub const WORK_EPSILON: f64 = 1e-9; // elasticflow-lint: allow(EF-L005): canonical definition site of the shared epsilon
 
+/// Slack with which a slot's work counts as finishing the job in the
+/// finish-time oracle [`PlanningJob::finish_seconds`] and in its one-pass
+/// twin `PlanningJob::profile_cost`, which must agree bit for bit.
+const FINISH_TOLERANCE: f64 = 1e-12;
+
 /// The discrete slot grid anchored at "now".
 ///
 /// # Example
@@ -124,13 +129,64 @@ impl PlanningJob {
         for (t, &g) in profile.as_slice().iter().enumerate() {
             let rate = self.curve.iters_per_sec(g).unwrap_or(0.0);
             let d = grid.duration(t);
-            if rate * d + 1e-12 >= remaining {
+            if rate * d + FINISH_TOLERANCE >= remaining {
                 return Some(elapsed + if rate > 0.0 { remaining / rate } else { 0.0 });
             }
             remaining -= rate * d;
             elapsed += d;
         }
         None
+    }
+
+    /// A profile's cost: its [`PlanningJob::finish_seconds`] and its
+    /// [`AllocationProfile::gpu_seconds`], bit for bit, from one walk.
+    ///
+    /// The walk visits the profile's constant-grant runs (slot 0, whose
+    /// duration may differ, is a run of its own) and hoists the rate
+    /// lookup and the per-slot products `rate * d` and `g * d` out of each
+    /// run. Every addition and subtraction of the two oracles still happens
+    /// once per slot, in slot order, so the results are identical.
+    pub(crate) fn profile_cost(
+        &self,
+        profile: &AllocationProfile,
+        grid: &SlotGrid,
+    ) -> (Option<f64>, f64) {
+        let slots = profile.as_slice();
+        let mut finish = None;
+        let mut remaining = self.remaining_iterations;
+        let mut elapsed = 0.0;
+        // Seeded with the identity std's float `Sum` folds from, so even an
+        // empty profile matches `gpu_seconds` bit for bit.
+        let mut gpu_seconds: f64 = std::iter::empty::<f64>().sum();
+        let mut t = 0;
+        while t < slots.len() {
+            let g = slots[t];
+            let end = if t == 0 {
+                1
+            } else {
+                slots[t..]
+                    .iter()
+                    .position(|&n| n != g)
+                    .map_or(slots.len(), |i| t + i)
+            };
+            let d = grid.duration(t);
+            let rate = self.curve.iters_per_sec(g).unwrap_or(0.0);
+            let work = rate * d;
+            let cost = g as f64 * d;
+            for _ in t..end {
+                if finish.is_none() {
+                    if work + FINISH_TOLERANCE >= remaining {
+                        finish = Some(elapsed + if rate > 0.0 { remaining / rate } else { 0.0 });
+                    } else {
+                        remaining -= work;
+                        elapsed += d;
+                    }
+                }
+                gpu_seconds += cost;
+            }
+            t = end;
+        }
+        (finish, gpu_seconds)
     }
 }
 
@@ -314,6 +370,87 @@ mod tests {
         assert_eq!(p.last_active_slot(), Some(2));
         assert!(!p.is_empty());
         assert!(AllocationProfile::new(vec![0, 0]).is_empty());
+    }
+
+    fn planning_job(remaining_iterations: f64) -> PlanningJob {
+        use elasticflow_perfmodel::{CurvePoint, DnnModel};
+        let point = |gpus, iters_per_sec| CurvePoint {
+            gpus,
+            iters_per_sec,
+        };
+        PlanningJob {
+            id: JobId::new(0),
+            curve: ScalingCurve::from_points(
+                DnnModel::ResNet50,
+                64,
+                vec![point(1, 0.7), point(2, 1.3), point(4, 1.9)],
+            ),
+            remaining_iterations,
+            deadline_slot: usize::MAX,
+        }
+    }
+
+    /// `profile_cost` against the two oracles it replaces, bitwise.
+    fn assert_cost_matches_oracles(job: &PlanningJob, slots: &[u32], grid: &SlotGrid) {
+        let profile = AllocationProfile::new(slots.to_vec());
+        let (finish, gpu_seconds) = job.profile_cost(&profile, grid);
+        let bits = |f: Option<f64>| f.map(f64::to_bits);
+        assert_eq!(
+            bits(finish),
+            bits(job.finish_seconds(&profile, grid)),
+            "finish of {slots:?}"
+        );
+        assert_eq!(
+            gpu_seconds.to_bits(),
+            profile.gpu_seconds(grid).to_bits(),
+            "GPU-seconds of {slots:?}"
+        );
+    }
+
+    #[test]
+    fn profile_cost_matches_finish_and_gpu_seconds_bitwise() {
+        let uniform = SlotGrid::uniform(1.1);
+        let anchored = SlotGrid::new(0.37, 1.1);
+        let cases: &[(f64, &[u32])] = &[
+            // Empty profile: never finishes positive work, costs nothing.
+            (1.0, &[]),
+            (0.0, &[]),
+            // Leading zero slots.
+            (2.5, &[0, 0, 0, 2, 2, 2, 4]),
+            // Trailing zero slots after the finish.
+            (1.0, &[1, 1, 0, 0, 0]),
+            // Finishes mid-slot inside a long run.
+            (5.3, &[1, 2, 2, 2, 2, 2, 2, 1]),
+            // Never finishes.
+            (100.0, &[4, 4, 2, 2, 1, 0, 1]),
+            // Finishes in slot 0.
+            (0.1, &[2, 2]),
+        ];
+        for &(work, slots) in cases {
+            for grid in [&uniform, &anchored] {
+                assert_cost_matches_oracles(&planning_job(work), slots, grid);
+            }
+        }
+    }
+
+    #[test]
+    fn profile_cost_matches_when_the_tolerance_fires_early() {
+        // Three slots of 1 iteration leave 5e-13 undone, inside the finish
+        // tolerance: the job finishes in slot 2 although slots 3 and 4 are
+        // still booked and still count toward GPU-seconds.
+        let grid = SlotGrid::uniform(1.0);
+        let mut job = planning_job(3.0 + 5e-13);
+        job.curve = ScalingCurve::from_points(
+            elasticflow_perfmodel::DnnModel::ResNet50,
+            64,
+            vec![elasticflow_perfmodel::CurvePoint {
+                gpus: 1,
+                iters_per_sec: 1.0,
+            }],
+        );
+        let three_slots = AllocationProfile::new(vec![1; 3]);
+        assert!(job.finish_seconds(&three_slots, &grid).is_some());
+        assert_cost_matches_oracles(&job, &[1; 5], &grid);
     }
 
     #[test]
