@@ -195,7 +195,9 @@ impl ResourceAllocator {
     ///
     /// Each job's current cost is computed once; every candidate then
     /// costs one fill plus one pass over its fresh profile, and dead
-    /// profiles go back to the fill scratch for the next candidate.
+    /// profiles go back to the fill scratch for the next candidate. The
+    /// fill walks slots only for the rung that succeeds and for rungs the
+    /// fill's infeasibility bound cannot rule out.
     pub fn boost(
         &self,
         jobs: &[PlanningJob],

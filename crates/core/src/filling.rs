@@ -178,17 +178,7 @@ fn ladder_fill(
         1u32
     };
     loop {
-        if let Some(profile) = try_target(
-            job,
-            ledger,
-            grid,
-            total_gpus,
-            j,
-            fixed_slot0,
-            &scratch.memo,
-            &mut scratch.gpus,
-            &mut scratch.pool,
-        ) {
+        if let Some(profile) = try_target(job, ledger, grid, total_gpus, j, fixed_slot0, scratch) {
             return Some((profile, j));
         }
         if j >= max_target {
@@ -198,12 +188,6 @@ fn ladder_fill(
     }
 }
 
-/// Builds the profile for one candidate target `j`, returning it only when
-/// the job finishes by its deadline. The profile is trimmed at the slot
-/// where the remaining work reaches zero, so commitments never outlive the
-/// job (the early slots run at full `j`; the trim frees the tail for
-/// others — the source of the "finish early, admit more later" benefit the
-/// paper describes in §4.2).
 /// Shrinks the final active slot's grant to the smallest power of two that
 /// still completes the remaining work. The pseudocode's constant-`j` fill
 /// books `j` GPUs in the finish slot even when only a sliver of work is
@@ -262,7 +246,13 @@ fn emit_profile(gpus: &[u32], pool: &mut Vec<Vec<u32>>) -> AllocationProfile {
     AllocationProfile::new(buf)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Builds the profile for one candidate target `j`, returning it only when
+/// the job finishes by its deadline. The profile is trimmed at the slot
+/// where the remaining work reaches zero, so commitments never outlive the
+/// job (the early slots run at full `j`; the trim frees the tail for
+/// others — the source of the "finish early, admit more later" benefit the
+/// paper describes in §4.2). A rung that [`rung_is_hopeless`] rejects
+/// costs no slot walk.
 fn try_target(
     job: &PlanningJob,
     ledger: &ReservationLedger,
@@ -270,27 +260,69 @@ fn try_target(
     total_gpus: u32,
     j: u32,
     fixed_slot0: Option<u32>,
-    memo: &CurveMemo,
-    gpus: &mut Vec<u32>,
-    pool: &mut Vec<Vec<u32>>,
+    scratch: &mut FillScratch,
 ) -> Option<AllocationProfile> {
-    let horizon = job.deadline_slot;
-    // Conservative infeasibility prune: even running every slot at the
-    // best throughput reachable under this candidate's cap (a prefix max,
-    // so safe for measured curves that dip before the knee), with a whole
-    // extra slot of slack on top, the work cannot finish by the deadline
-    // — skip the slot walk. The full-slot slack dwarfs both WORK_EPSILON
-    // and the float rounding of the bound itself, so the prune can never
-    // fire on a target the walk would have accepted. Skipped when slot 0
-    // is pinned: a pinned grant may exceed the candidate's own cap.
-    if fixed_slot0.is_none() && horizon != usize::MAX {
-        let cap = memo.clamp_useful(j.min(total_gpus));
-        let best = memo.peak_rate_at_or_below(cap);
-        let slack = best * grid.rest_seconds();
-        if slack > WORK_EPSILON && slack * (horizon as f64 + 1.0) < job.remaining_iterations {
-            return None;
-        }
+    if rung_is_hopeless(job, grid, total_gpus, j, fixed_slot0, &scratch.memo) {
+        // Debug builds walk the pruned rung anyway: the bound may only
+        // reject rungs that the walk rejects too.
+        debug_assert!(
+            walk_target(job, ledger, grid, total_gpus, j, fixed_slot0, scratch).is_none(),
+            "infeasibility bound rejected a rung the slot walk accepts"
+        );
+        return None;
     }
+    walk_target(job, ledger, grid, total_gpus, j, fixed_slot0, scratch)
+}
+
+/// Conservative infeasibility bound for rung `j`, checked before its slot
+/// walk. Every slot past slot 0 grants at most the rung's cap, so it does
+/// at most `slack`: the best throughput reachable under the cap (a prefix
+/// max, so safe for measured curves that dip before the knee) over a full
+/// slot. Slot 0 does at most `slack` too, unless it is pinned: then it
+/// does exactly the walk's own slot-0 term, which may exceed `slack` (a
+/// pinned grant may be above the rung's cap) and is 0 for a pinned 0.
+/// The walk can thus reach at most `head + slack * (horizon - 1)`; the
+/// bound adds one whole slot of `slack` on top, which dwarfs both
+/// WORK_EPSILON and the float rounding of the bound itself, so it never
+/// rejects a rung the walk would have accepted.
+fn rung_is_hopeless(
+    job: &PlanningJob,
+    grid: &SlotGrid,
+    total_gpus: u32,
+    j: u32,
+    fixed_slot0: Option<u32>,
+    memo: &CurveMemo,
+) -> bool {
+    let horizon = job.deadline_slot;
+    if horizon == usize::MAX {
+        return false;
+    }
+    let cap = memo.clamp_useful(j.min(total_gpus));
+    let slack = memo.peak_rate_at_or_below(cap) * grid.rest_seconds();
+    if slack <= WORK_EPSILON {
+        return false;
+    }
+    let head = match fixed_slot0 {
+        Some(x0) => memo.iters_per_sec(memo.clamp_useful(x0)) * grid.duration(0),
+        None => slack,
+    };
+    head + slack * (horizon as f64) < job.remaining_iterations
+}
+
+/// The slot walk of one rung: grants `min(j, free(t))` (rounded down to a
+/// power of two, clamped at the knee) slot by slot until the work is done
+/// or the deadline passes.
+fn walk_target(
+    job: &PlanningJob,
+    ledger: &ReservationLedger,
+    grid: &SlotGrid,
+    total_gpus: u32,
+    j: u32,
+    fixed_slot0: Option<u32>,
+    scratch: &mut FillScratch,
+) -> Option<AllocationProfile> {
+    let FillScratch { gpus, memo, pool } = scratch;
+    let horizon = job.deadline_slot;
     // One scan back over the ledger's trailing zero slots per target.
     let committed_horizon = ledger.horizon();
     gpus.clear();
@@ -530,15 +562,75 @@ mod tests {
         assert_eq!(a.as_slice(), &[1, 4]);
     }
 
+    /// Whether the infeasibility bound rejects rung `j` on a 4-GPU cluster.
+    fn hopeless(job: &PlanningJob, grid: &SlotGrid, j: u32, fixed_slot0: Option<u32>) -> bool {
+        let mut memo = CurveMemo::default();
+        memo.rebuild(&job.curve);
+        rung_is_hopeless(job, grid, 4, j, fixed_slot0, &memo)
+    }
+
     #[test]
     fn prune_agrees_with_slot_walk_on_infeasible_targets() {
         // Work far beyond the horizon's capacity: both the pruned and the
         // walked path must reject, and feasible cases must be unaffected.
+        // (Debug builds also walk every pruned rung and assert it fails.)
         let grid = SlotGrid::uniform(1.0);
         let ledger = ReservationLedger::new();
         assert!(progressive_filling(&job(1000.0, 3), &ledger, &grid, 4, None).is_none());
         // Just-feasible boundary: 2 slots at T(4)=2 completes 4.0 exactly.
         let p = progressive_filling(&job(4.0, 2), &ledger, &grid, 4, None).unwrap();
         assert_eq!(p.as_slice(), &[4, 4]);
+
+        // A pinned grant above the rung's cap: on a linear curve, slot 0 at
+        // 4 GPUs does 4 units and rung 1 adds 1 in slot 1, so 4.5 units
+        // finish on rung 1 only thanks to slot 0. A bound that charged
+        // slot 0 at the rung's own rate (1 + 1 * 2 = 3 < 4.5) would fire.
+        let linear = ScalingCurve::from_points(
+            DnnModel::ResNet50,
+            64,
+            [1, 2, 4]
+                .map(|gpus| CurvePoint {
+                    gpus,
+                    iters_per_sec: f64::from(gpus),
+                })
+                .to_vec(),
+        );
+        let boosted = PlanningJob {
+            curve: linear,
+            ..job(4.5, 2)
+        };
+        assert!(!hopeless(&boosted, &grid, 1, Some(4)));
+        let p = progressive_filling(&boosted, &ledger, &grid, 4, Some(4)).unwrap();
+        assert_eq!(p.as_slice(), &[4, 1]);
+
+        // A pinned 0 does no work in slot 0: 5 units in slots 1..3 beat
+        // rungs 1 and 2 (bounds 0 + 1 * 3 and 0 + 1.5 * 3) outright, and
+        // rung 4's walk (0 + 2 + 2) falls short.
+        assert!(hopeless(&job(5.0, 3), &grid, 1, Some(0)));
+        assert!(hopeless(&job(5.0, 3), &grid, 2, Some(0)));
+        assert!(!hopeless(&job(5.0, 3), &grid, 4, Some(0)));
+        assert!(progressive_filling(&job(5.0, 3), &ledger, &grid, 4, Some(0)).is_none());
+        let p = progressive_filling(&job(3.9, 3), &ledger, &grid, 4, Some(0)).unwrap();
+        assert_eq!(p.as_slice(), &[0, 4, 4]);
+
+        // A fractional first slot: a pinned 1 GPU does T(1) * 0.5 = 0.5
+        // units there, so 3.6 units beat rungs 1 (0.5 + 1 * 2) and 2
+        // (0.5 + 1.5 * 2); rung 4 walks and reaches 0.5 + 2 = 2.5.
+        let short_first = SlotGrid::new(0.5, 1.0);
+        assert!(hopeless(&job(3.6, 2), &short_first, 2, Some(1)));
+        assert!(!hopeless(&job(3.6, 2), &short_first, 4, Some(1)));
+        assert!(progressive_filling(&job(3.6, 2), &ledger, &short_first, 4, Some(1)).is_none());
+        let p = progressive_filling(&job(2.5, 2), &ledger, &short_first, 4, Some(1)).unwrap();
+        assert_eq!(p.as_slice(), &[1, 4]);
+
+        // Rungs that fail by less than one slot of work: the walk rejects
+        // them, the bound must not. Unpinned rung 1 reaches 1 + 1 = 2 of
+        // 2.2; pinned at 2 GPUs, rung 1 reaches 1.5 + 1 = 2.5 of 2.6.
+        assert!(!hopeless(&job(2.2, 2), &grid, 1, None));
+        let p = progressive_filling(&job(2.2, 2), &ledger, &grid, 4, None).unwrap();
+        assert_eq!(p.as_slice(), &[2, 1]);
+        assert!(!hopeless(&job(2.6, 2), &grid, 1, Some(2)));
+        let p = progressive_filling(&job(2.6, 2), &ledger, &grid, 4, Some(2)).unwrap();
+        assert_eq!(p.as_slice(), &[2, 2]);
     }
 }

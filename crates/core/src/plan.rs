@@ -277,8 +277,8 @@ impl ReservationLedger {
         if self.committed.len() < profile.len() {
             self.committed.resize(profile.len(), 0);
         }
-        for (t, &g) in profile.as_slice().iter().enumerate() {
-            self.committed[t] += g;
+        for (c, &g) in self.committed.iter_mut().zip(profile.as_slice()) {
+            *c += g;
         }
     }
 
@@ -288,11 +288,18 @@ impl ReservationLedger {
     ///
     /// Panics (debug) if the profile was never committed.
     pub fn uncommit(&mut self, profile: &AllocationProfile) {
-        for (t, &g) in profile.as_slice().iter().enumerate() {
-            debug_assert!(self.committed.get(t).copied().unwrap_or(0) >= g);
-            if let Some(c) = self.committed.get_mut(t) {
-                *c -= g;
-            }
+        debug_assert!(
+            profile
+                .as_slice()
+                .iter()
+                .enumerate()
+                .all(|(t, &g)| self.committed(t) >= g),
+            "uncommit of a profile that was never committed"
+        );
+        // Slots past the ledger's end hold nothing to remove; `zip` stops
+        // at the shorter slice.
+        for (c, &g) in self.committed.iter_mut().zip(profile.as_slice()) {
+            *c -= g;
         }
         // Keep the representation canonical (no trailing zero slots) so
         // two ledgers holding the same reservations compare equal no

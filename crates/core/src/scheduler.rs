@@ -252,14 +252,14 @@ pub(crate) fn admission_decision(
     job: &JobRuntime,
     now: f64,
     view: &ClusterView,
-    existing: &[PlanningJob],
+    existing: Vec<PlanningJob>,
     grid: &SlotGrid,
 ) -> AdmissionDecision {
     let ac = AdmissionController::new(view.total_gpus);
     // One fill commits the feasible subset; the candidate is then answered
     // incrementally — only the deadline-ordered suffix at or after its
     // insertion point refills, instead of every job from scratch.
-    let (set, _lapsed) = ac.fill(existing, grid);
+    let (set, _lapsed) = ac.fill_owned(existing, grid);
     // Booked load over the next ~hour decides how much slack to demand.
     let horizon = elasticflow_cluster::num::slots_ceil(3_600.0 / grid.rest_seconds())
         .unwrap_or(1)
@@ -309,7 +309,7 @@ impl Scheduler for ElasticFlowScheduler {
             .filter(|j| j.is_slo())
             .map(|j| Self::planning_job(j, now, &grid))
             .collect();
-        admission_decision(job, now, view, &existing, &grid)
+        admission_decision(job, now, view, existing, &grid)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {

@@ -81,7 +81,7 @@ impl Scheduler for EdfWithAdmission {
             .filter(|j| j.is_slo())
             .map(|j| ElasticFlowScheduler::planning_job(j, now, &grid))
             .collect();
-        crate::scheduler::admission_decision(job, now, view, &existing, &grid)
+        crate::scheduler::admission_decision(job, now, view, existing, &grid)
     }
 
     fn plan(&mut self, now: f64, view: &ClusterView, jobs: &JobTable) -> SchedulePlan {

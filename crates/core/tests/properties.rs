@@ -101,24 +101,50 @@ proptest! {
 
     /// Progressive filling returns minimal constant targets: the profile
     /// it finds never exceeds the knee and meets the work requirement
-    /// exactly when it claims to.
+    /// exactly when it claims to. Inputs cover Algorithm 2's pinned slot 0
+    /// (grants up to 8, past the knee), fractional first slots, long
+    /// deadlines and work near a rung's infeasibility bound
+    /// `head + slack * H`, where debug builds also check every pruned rung
+    /// against its slot walk.
     #[test]
     fn progressive_filling_profiles_are_valid(
         curve in concave_curve(),
         work_scale in 0.1f64..6.0,
-        deadline_slot in 1usize..6,
+        deadline_slot in prop_oneof![1usize..6, 6usize..300],
         committed in prop::collection::vec(0u32..4, 0..6),
+        fixed_slot0 in prop_oneof![Just(None), (0u32..9).prop_map(Some)],
+        grid in prop_oneof![
+            Just(SlotGrid::uniform(1.0)),
+            (0.05f64..1.0, 0.5f64..4.0).prop_map(|(frac, rest)| SlotGrid::new(frac * rest, rest)),
+        ],
+        near_bound in prop_oneof![
+            Just(None),
+            (prop::sample::select(vec![1u32, 2, 4]), -2.0f64..1.5).prop_map(Some),
+        ],
     ) {
-        let grid = SlotGrid::uniform(1.0);
+        let rate = |g: u32| curve.iters_per_sec(g).expect("0, 1, 2 and 4 GPUs are on the curve");
+        // Work a few slots short of (negative offset) or beyond rung `j`'s
+        // bound: `slack` per slot, and slot 0's exact work when pinned.
+        let remaining_iterations = match near_bound {
+            Some((j, offset)) => {
+                let slack = rate(curve.clamp_useful(j)) * grid.rest_seconds();
+                let head = match fixed_slot0 {
+                    Some(x0) => rate(curve.clamp_useful(x0)) * grid.duration(0),
+                    None => slack,
+                };
+                (head + slack * (deadline_slot as f64 + offset)).max(0.05)
+            }
+            None => work_scale * rate(1),
+        };
         let job = PlanningJob {
             id: JobId::new(0),
             curve: curve.clone(),
-            remaining_iterations: work_scale * curve.iters_per_sec(1).expect("1 GPU is always on the curve"),
+            remaining_iterations,
             deadline_slot,
         };
         let mut ledger = ReservationLedger::new();
         ledger.commit(&elasticflow_core::AllocationProfile::new(committed));
-        if let Some(p) = progressive_filling(&job, &ledger, &grid, 4, None) {
+        if let Some(p) = progressive_filling(&job, &ledger, &grid, 4, fixed_slot0) {
             let done: f64 = p
                 .as_slice()
                 .iter()
@@ -129,7 +155,10 @@ proptest! {
             for (t, &g) in p.as_slice().iter().enumerate() {
                 prop_assert!(g == 0 || g.is_power_of_two());
                 prop_assert!(g <= curve.knee());
-                prop_assert!(g + ledger.committed(t) <= 4 || g == 0);
+                // A pinned slot 0 never reads `free(0)`.
+                if t > 0 || fixed_slot0.is_none() {
+                    prop_assert!(g + ledger.committed(t) <= 4 || g == 0);
+                }
             }
             prop_assert!(p.len() <= deadline_slot);
         }
